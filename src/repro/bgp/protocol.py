@@ -216,11 +216,12 @@ class BgpProtocol:
 
     # -- propagation ----------------------------------------------------------------
     def _export(self, speaker: BgpSpeaker, prefix: Prefix, route: BgpRoute) -> None:
+        # Originated routes already carry our ASN; learned routes get it
+        # prepended on the way out (standard AS-path build).  The result
+        # is one frozen route, shared by every neighbor that hears it.
+        exported = route if route.originated else route.prepended(speaker.asn)
         for neighbor_asn in sorted(speaker.domain.neighbor_asns()):
             if self.policy.should_export(speaker.domain, route, neighbor_asn):
-                # Originated routes already carry our ASN; learned routes
-                # get it prepended on the way out (standard AS-path build).
-                exported = route if route.originated else route.prepended(speaker.asn)
                 update = BgpUpdate(sender_asn=speaker.asn, prefix=prefix,
                                    route=exported)
             else:

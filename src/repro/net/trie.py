@@ -1,22 +1,33 @@
-"""Binary radix trie for longest-prefix-match lookups.
+"""Per-length hash tables for longest-prefix-match lookups.
 
 This is the forwarding-table data structure used by every router in the
 simulator, for both the IPv4 family (32-bit keys) and the IPvN family
-(64-bit keys).  It is a plain uncompressed binary trie: simple, easy to
-verify, and fast enough for simulation scales (lookups walk at most
-``plen`` nodes).
+(64-bit keys).  It keeps one ``dict`` per installed prefix length, keyed
+by the prefix's masked network value — the classic per-length hash
+layout of Waldvogel et al. ("Scalable High Speed IP Routing Lookups",
+SIGCOMM'97), probed linearly rather than by binary search because a
+simulated FIB holds only a handful of distinct lengths.  A lookup masks
+the address once per installed length, longest first, and stops at the
+first hit; inserts and removes are single dict operations.
 
-The trie maps :class:`~repro.net.address.Prefix` keys to arbitrary
+The table maps :class:`~repro.net.address.Prefix` keys to arbitrary
 values and answers:
 
 * exact lookups (:meth:`PrefixTrie.get`),
 * longest-prefix matches for an address (:meth:`PrefixTrie.lookup`),
 * all matches, shortest first (:meth:`PrefixTrie.all_matches`),
-* iteration over installed (prefix, value) pairs.
+* iteration over installed (prefix, value) pairs in ``(network value,
+  plen)`` order — the pre-order of a binary trie over the same keys, so
+  every dump and digest built on :meth:`PrefixTrie.items` is stable.
+
+Keys are the prefix's value and length only: an IPvN version tag does
+not take part, so two VN prefixes that differ only in version share one
+slot (a simulation runs one vN-Bone per version).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.net.address import Address, Prefix
@@ -24,16 +35,13 @@ from repro.net.errors import AddressError
 
 V = TypeVar("V")
 
-_SENTINEL = object()
+_Table = Dict[int, Tuple[Prefix, V]]
 
 
-class _Node(Generic[V]):
-    __slots__ = ("children", "prefix", "value")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.prefix: Optional[Prefix] = None
-        self.value: object = _SENTINEL
+@lru_cache(maxsize=None)
+def _masks(bits: int) -> Tuple[int, ...]:
+    """Network masks for every prefix length 0..*bits* of a family."""
+    return tuple(((1 << plen) - 1) << (bits - plen) for plen in range(bits + 1))
 
 
 class PrefixTrie(Generic[V]):
@@ -48,7 +56,11 @@ class PrefixTrie(Generic[V]):
 
     def __init__(self, bits: int) -> None:
         self._bits = bits
-        self._root: _Node[V] = _Node()
+        self._masks = _masks(bits)
+        self._tables: Dict[int, _Table[V]] = {}
+        #: (mask, table) per installed length, longest first; rebuilt
+        #: only when a length appears or empties.
+        self._probes: List[Tuple[int, _Table[V]]] = []
         self._size = 0
 
     @property
@@ -66,125 +78,86 @@ class PrefixTrie(Generic[V]):
             raise AddressError(
                 f"prefix {pfx} belongs to a {pfx.bits}-bit family; trie is {self._bits}-bit")
 
+    def _check_address(self, address: Address) -> None:
+        if address.BITS != self._bits:
+            raise AddressError(
+                f"address {address} belongs to a {address.BITS}-bit family; trie is {self._bits}-bit")
+
+    def _reindex(self) -> None:
+        self._probes = [(self._masks[plen], self._tables[plen])
+                        for plen in sorted(self._tables, reverse=True)]
+
     def insert(self, pfx: Prefix, value: V) -> None:
         """Install *value* under *pfx*, replacing any previous value."""
         self._check_family(pfx)
-        node = self._root
-        for bit in pfx.key_bits():
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if node.value is _SENTINEL:
+        table = self._tables.get(pfx.plen)
+        if table is None:
+            table = {}
+            self._tables[pfx.plen] = table
+            self._reindex()
+        key = pfx.address.value
+        if key not in table:
             self._size += 1
-        node.prefix = pfx
-        node.value = value
+        table[key] = (pfx, value)
 
     def remove(self, pfx: Prefix) -> V:
         """Remove and return the value under *pfx*.
 
-        Raises ``KeyError`` if the exact prefix is not installed.  Empty
-        branches are pruned so repeated insert/remove cycles do not leak.
+        Raises ``KeyError`` if the exact prefix is not installed.  A
+        length whose table empties is dropped from the probe order.
         """
         self._check_family(pfx)
-        path: List[Tuple[_Node[V], int]] = []
-        node = self._root
-        for bit in pfx.key_bits():
-            child = node.children[bit]
-            if child is None:
-                raise KeyError(pfx)
-            path.append((node, bit))
-            node = child
-        if node.value is _SENTINEL:
+        table = self._tables.get(pfx.plen)
+        if table is None or pfx.address.value not in table:
             raise KeyError(pfx)
-        value = node.value
-        node.value = _SENTINEL
-        node.prefix = None
+        _, value = table.pop(pfx.address.value)
         self._size -= 1
-        # Prune now-empty leaf chain.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None  # repro: allow[D5] - prune-path invariant
-            if child.value is _SENTINEL and child.children[0] is None and child.children[1] is None:
-                parent.children[bit] = None
-            else:
-                break
-        return value  # type: ignore[return-value]
+        if not table:
+            del self._tables[pfx.plen]
+            self._reindex()
+        return value
 
     def get(self, pfx: Prefix, default: Optional[V] = None) -> Optional[V]:
         """Exact-match lookup of an installed prefix."""
         self._check_family(pfx)
-        node = self._root
-        for bit in pfx.key_bits():
-            child = node.children[bit]
-            if child is None:
-                return default
-            node = child
-        if node.value is _SENTINEL:
-            return default
-        return node.value  # type: ignore[return-value]
+        table = self._tables.get(pfx.plen)
+        hit = None if table is None else table.get(pfx.address.value)
+        return default if hit is None else hit[1]
 
     def __contains__(self, pfx: Prefix) -> bool:
-        return self.get(pfx, _SENTINEL) is not _SENTINEL  # type: ignore[arg-type]
+        self._check_family(pfx)
+        table = self._tables.get(pfx.plen)
+        return table is not None and pfx.address.value in table
 
     def lookup(self, address: Address) -> Optional[Tuple[Prefix, V]]:
         """Longest-prefix match for *address*; ``None`` if nothing matches."""
-        if address.BITS != self._bits:
-            raise AddressError(
-                f"address {address} belongs to a {address.BITS}-bit family; trie is {self._bits}-bit")
-        best: Optional[Tuple[Prefix, V]] = None
-        node = self._root
-        if node.value is not _SENTINEL:
-            assert node.prefix is not None  # repro: allow[D5] - value implies prefix
-            best = (node.prefix, node.value)  # type: ignore[assignment]
+        self._check_address(address)
         value = address.value
-        for i in range(self._bits):
-            bit = (value >> (self._bits - 1 - i)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.value is not _SENTINEL:
-                assert node.prefix is not None  # repro: allow[D5] - value implies prefix
-                best = (node.prefix, node.value)  # type: ignore[assignment]
-        return best
+        for mask, table in self._probes:
+            hit = table.get(value & mask)
+            if hit is not None:
+                return hit
+        return None
 
     def all_matches(self, address: Address) -> List[Tuple[Prefix, V]]:
         """All installed prefixes covering *address*, shortest first."""
-        if address.BITS != self._bits:
-            raise AddressError(
-                f"address {address} belongs to a {address.BITS}-bit family; trie is {self._bits}-bit")
-        matches: List[Tuple[Prefix, V]] = []
-        node = self._root
-        if node.value is not _SENTINEL:
-            assert node.prefix is not None  # repro: allow[D5] - value implies prefix
-            matches.append((node.prefix, node.value))  # type: ignore[arg-type]
+        self._check_address(address)
         value = address.value
-        for i in range(self._bits):
-            bit = (value >> (self._bits - 1 - i)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.value is not _SENTINEL:
-                assert node.prefix is not None  # repro: allow[D5] - value implies prefix
-                matches.append((node.prefix, node.value))  # type: ignore[arg-type]
-        return matches
+        matches = [table.get(value & mask) for mask, table in reversed(self._probes)]
+        return [hit for hit in matches if hit is not None]
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """Iterate installed (prefix, value) pairs in key order."""
-        stack: List[_Node[V]] = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.value is not _SENTINEL:
-                assert node.prefix is not None  # repro: allow[D5] - value implies prefix
-                yield node.prefix, node.value  # type: ignore[misc]
-            # Push right then left so left (0-bit) branches pop first.
-            if node.children[1] is not None:
-                stack.append(node.children[1])
-            if node.children[0] is not None:
-                stack.append(node.children[0])
+        order = sorted((key, plen) for plen, table in self._tables.items() for key in table)
+        return iter([self._tables[plen][key] for key, plen in order])
+
+    def unordered_items(self) -> List[Tuple[Prefix, V]]:
+        """Every installed (prefix, value) pair, in no particular order.
+
+        The list is a snapshot, so the caller may insert or remove while
+        walking it.
+        """
+        return [entry for table in self._tables.values() for entry in table.values()]
 
     def prefixes(self) -> List[Prefix]:
         """All installed prefixes."""
@@ -196,5 +169,6 @@ class PrefixTrie(Generic[V]):
 
     def clear(self) -> None:
         """Remove every entry."""
-        self._root = _Node()
+        self._tables = {}
+        self._probes = []
         self._size = 0

@@ -87,6 +87,25 @@ class TestFib:
         assert fib.withdraw_all(RouteSource.IGP) == 2
         assert fib.route_count() == 1
 
+    def test_withdraw_all_igp_keeps_static_and_bgp(self):
+        fib = Fib()
+        fib.install(entry("0.0.0.0/0", "s", RouteSource.STATIC))
+        fib.install(entry("10.0.0.0/8", "a", RouteSource.IGP))
+        fib.install(entry("10.0.0.0/8", "b", RouteSource.BGP))
+        fib.install(entry("10.1.0.0/16", "c", RouteSource.IGP))
+        fib.install(entry("10.1.0.0/16", "d", RouteSource.STATIC, metric=3.0))
+        fib.install(entry("10.2.0.1/32", "e", RouteSource.IGP))
+        fib.install(entry("11.0.0.0/8", "f", RouteSource.BGP))
+        kept = {src: fib.snapshot(src) for src in (RouteSource.STATIC, RouteSource.BGP)}
+        assert fib.withdraw_all(RouteSource.IGP) == 3
+        assert fib.snapshot(RouteSource.IGP) == []
+        assert {src: fib.snapshot(src) for src in kept} == kept
+        assert fib.snapshot() == sorted(kept[RouteSource.STATIC] + kept[RouteSource.BGP])
+        assert fib.get(Prefix.parse("10.0.0.0/8")).next_hop == "b"
+        assert fib.get(Prefix.parse("10.2.0.1/32")) is None
+        assert fib.route_count() == 4
+        assert fib.withdraw_all(RouteSource.IGP) == 0
+
     def test_non_local_needs_next_hop(self):
         with pytest.raises(TopologyError):
             FibEntry(prefix=Prefix.parse("10.0.0.0/8"), next_hop=None,
