@@ -18,21 +18,8 @@ result bumps the version: link ``fail()``/``restore()`` flips (the
 Border-router *sets* only grow via ``add_link``/``connect_domains``,
 which bump too.
 
-The module also owns the process-wide **grouped-install** switch, the
-PR-9 sibling of :func:`repro.perf.cache.caching` and
-:func:`repro.net.fastpath.flow_fastpath`: it selects, at
-:class:`~repro.bgp.protocol.BgpProtocol` construction time, between
-the optimized control plane (grouped/incremental FIB installation and
-MRAI-style update batching) and the per-prefix seed path kept as the
-equivalence baseline::
-
-    from repro.bgp.egress import grouped_install
-
-    with grouped_install(False):        # seed-faithful control plane
-        orchestrator = Orchestrator(network)
-
-Both paths must produce byte-identical FIBs — ``tests/bgp`` asserts
-it across the workload matrix, fault plans, and caching modes.
+:class:`~repro.bgp.protocol.BgpProtocol` reads the cache from its
+install pass and from session-liveness checks.
 
 Per rule D4 the hit/miss/invalidation counters are registered behind
 ``obs.enabled``; the cache keeps plain integer stats that are always
@@ -41,8 +28,7 @@ live, so tests need no observability handle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.link import LinkScope
 from repro.obs import get_obs
@@ -50,36 +36,6 @@ from repro.perf.cache import caching_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
-
-#: Process-wide default consulted by BgpProtocol at construction time.
-_GROUPED_INSTALL_DEFAULT = True
-
-
-def grouped_install_enabled() -> bool:
-    """The current process-wide grouped-install default."""
-    return _GROUPED_INSTALL_DEFAULT
-
-
-def set_grouped_install_default(enabled: bool) -> bool:
-    """Set the process-wide grouped-install default; returns the
-    previous value."""
-    global _GROUPED_INSTALL_DEFAULT
-    previous = _GROUPED_INSTALL_DEFAULT
-    _GROUPED_INSTALL_DEFAULT = enabled
-    return previous
-
-
-@contextmanager
-def grouped_install(enabled: bool) -> Iterator[None]:
-    """Scope the grouped-install default (``with grouped_install(False):``
-    builds a seed-faithful baseline); protocols constructed inside the
-    block keep the setting for their lifetime."""
-    previous = set_grouped_install_default(enabled)
-    try:
-        yield
-    finally:
-        set_grouped_install_default(previous)
-
 
 #: One cache key: (domain ASN, next-hop ASN).
 EgressKey = Tuple[int, int]

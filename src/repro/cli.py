@@ -589,10 +589,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     (b) bit-identical cached/uncached experiment metrics for every
     workload, and (c) fewer total Dijkstra runs cached than uncached.
     Sweep mode: (a) plus bit-identical fast-path-on/off delivery
-    metrics for every cell, plus byte-identical grouped-vs-seed FIBs
-    on every cell's control-plane leg, plus a sample-for-sample
-    identical probe RTT series across both forwarding legs.  Wall seconds and speedups are
-    recorded for trajectory plots but never gated on (no timing
+    metrics for every cell, plus a sample-for-sample identical probe
+    RTT series across both forwarding legs.  Wall seconds and speedups
+    are recorded for trajectory plots but never gated on (no timing
     thresholds).
 
     ``--profile`` wraps the whole run in :mod:`cProfile` and prints
@@ -637,24 +636,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not totals["identical_metrics"]:
             errors.append(
                 "fast-path delivery metrics diverged from the slow path")
-        if not totals.get("identical_fibs", True):
-            errors.append(
-                "grouped-install FIBs diverged from the seed install path")
         if not totals.get("identical_probe_series", True):
             errors.append(
                 "fast-path probe RTT series diverged from the slow path")
         status = {"ok": not errors, "out": path,
                   "identical_metrics": totals["identical_metrics"],
-                  "identical_fibs": totals.get("identical_fibs"),
                   "identical_probe_series":
                       totals.get("identical_probe_series"),
                   "speedups": {str(cell["routers_requested"]):
                                round(float(cell["speedup"]), 2)  # type: ignore[arg-type]
-                               for cell in doc["cells"]},  # type: ignore[union-attr]
-                  "lookup_reductions": {
-                      str(cell["routers_requested"]):
-                      round(float(cell["control_plane"]["lookup_reduction"]), 2)  # type: ignore[index]
-                      for cell in doc["cells"]}}  # type: ignore[union-attr]
+                               for cell in doc["cells"]}}  # type: ignore[union-attr]
         if errors:
             status["errors"] = errors[:10]
         print(json.dumps(status, indent=2, sort_keys=True))

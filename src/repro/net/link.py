@@ -9,6 +9,7 @@ of different domains and are the edges over which BGP sessions run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Tuple
@@ -47,10 +48,13 @@ class Link:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise TopologyError(f"self-loop link at {self.a!r}")
-        if self.cost < 0:
-            raise TopologyError(f"negative link cost {self.cost}")
-        if self.delay < 0:
-            raise TopologyError(f"negative link delay {self.delay}")
+        # The chained comparison is false for NaN, which ``< 0`` lets by.
+        if not 0 <= self.cost < math.inf:
+            raise TopologyError(
+                f"link cost must be finite and non-negative, got {self.cost}")
+        if not 0 <= self.delay < math.inf:
+            raise TopologyError(
+                f"link delay must be finite and non-negative, got {self.delay}")
         if not self.name:
             self.name = f"{self.a}<->{self.b}"
 

@@ -468,30 +468,6 @@ def _validate_matrix(errors: List[str], doc: Dict[str, object],
 
 
 _LEG_KEYS = ("fastpath", "slowpath")
-_CONTROL_KEYS = ("grouped", "seed")
-
-
-def _validate_control_plane(errors: List[str], where: str,
-                            control: object) -> None:
-    """Checks for one cell's ``control_plane`` block (PR 9); the block
-    is optional so pre-PR-9 sweep artifacts stay valid."""
-    if not isinstance(control, dict):
-        errors.append(f"{where}: expected object")
-        return
-    _check_pair(errors, f"{where}.convergence_events",
-                control.get("convergence_events"), int, keys=_CONTROL_KEYS)
-    _check_pair(errors, f"{where}.wall_install_seconds",
-                control.get("wall_install_seconds"), float,
-                keys=_CONTROL_KEYS)
-    _check_pair(errors, f"{where}.install_fib_lookups",
-                control.get("install_fib_lookups"), int, keys=_CONTROL_KEYS)
-    reduction = control.get("lookup_reduction")
-    if (not isinstance(reduction, (int, float)) or isinstance(reduction, bool)
-            or float(reduction) < 0.0):
-        errors.append(f"{where}.lookup_reduction: expected non-negative "
-                      "number")
-    if not isinstance(control.get("identical_fibs"), bool):
-        errors.append(f"{where}.identical_fibs: expected bool")
 
 
 def _validate_sweep(errors: List[str], doc: Dict[str, object]) -> None:
@@ -541,9 +517,6 @@ def _validate_sweep(errors: List[str], doc: Dict[str, object]) -> None:
                         f"{where}.delivery.{field_name}: expected int")
         if not isinstance(cell.get("identical_metrics"), bool):
             errors.append(f"{where}.identical_metrics: expected bool")
-        if "control_plane" in cell:
-            _validate_control_plane(errors, f"{where}.control_plane",
-                                    cell["control_plane"])
     totals = doc.get("totals")
     if not isinstance(totals, dict):
         errors.append("totals: expected object")
@@ -552,9 +525,6 @@ def _validate_sweep(errors: List[str], doc: Dict[str, object]) -> None:
                     totals.get("wall_seconds"), float, keys=_LEG_KEYS)
         if not isinstance(totals.get("identical_metrics"), bool):
             errors.append("totals.identical_metrics: expected bool")
-        if ("identical_fibs" in totals
-                and not isinstance(totals["identical_fibs"], bool)):
-            errors.append("totals.identical_fibs: expected bool")
 
 
 def write_bench(doc: Dict[str, object],

@@ -35,19 +35,11 @@ The emitted document is ``repro.bench/v2`` with ``"mode":
           "identical_metrics": bool,  # delivery identical across legs
           "measurement": {"probes": int, "delivered": int,
                            "rtt_mean": float,
-                           "identical_series": bool},
-          "control_plane": {
-            "convergence_events": {"grouped": int, "seed": int},
-            "wall_install_seconds": {"grouped": float, "seed": float},
-            "install_fib_lookups": {"grouped": int, "seed": int},
-            "lookup_reduction": float,  # seed / grouped lookups
-            "identical_fibs": bool      # FIB digests match across legs
-          }
+                           "identical_series": bool}
         }, ...
       ],
       "totals": {"wall_seconds": {"fastpath": float, "slowpath": float},
                   "identical_metrics": bool,
-                  "identical_fibs": bool,
                   "identical_probe_series": bool}
     }
 
@@ -59,15 +51,10 @@ traffic phase — ``identical_series`` proves the full RTT probe series
 ``wall_*`` fields are nondeterministic — plot them, never gate on them
 (the CI smoke job checks schema and determinism only).
 
-PR 9 adds the **control-plane leg** per cell: the same seeded
-internetwork is built and converged twice more — once on the
-grouped/incremental install path with MRAI batching
-(:mod:`repro.bgp.egress`), once on the per-prefix seed path — and the
-cell records scheduler events to convergence, wall seconds inside
-``install_routes``, the install path's FIB-lookup counts (the
-timing-free signal: grouping turns O(P×R×B) lookups into O(R×B×A)),
-and ``identical_fibs``, the digest-equality proof that both paths
-installed byte-identical forwarding state.
+Sweeps committed before the BGP seed path became a test oracle
+(``BENCH_PR9.json``) also carry a per-cell ``control_plane`` block
+comparing the two install paths; the validator ignores it.  That
+comparison now lives in ``tests/bgp/test_install_equivalence.py``.
 
 The legs run without an observability handle on purpose: at 10k+
 routers per-packet span emission dominates the walk itself, and the
@@ -78,13 +65,10 @@ integers and always live.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.egress import grouped_install
 from repro.core.orchestrator import Orchestrator
 from repro.measure import ProbeEngine, ProbePlan, ProbeTarget
 from repro.net.fastpath import flow_fastpath
@@ -95,7 +79,7 @@ from repro.topogen.scale import (generate_scale_internet, scale_rng,
                                  spec_for_router_budget)
 
 #: Default output path for the sweep artifact (PR-stamped so the repo
-#: accumulates a trajectory; PR 9 adds the control-plane leg).
+#: accumulates a trajectory).
 DEFAULT_SWEEP_PATH = "BENCH_PR9.json"
 #: Router budgets on the size axis.
 QUICK_SIZES: Tuple[int, ...] = (300, 600, 1000)
@@ -125,75 +109,6 @@ class CellLeg:
     delivery: Dict[str, int]
     fastpath_stats: Dict[str, int]
     probe_series: Dict[str, object]
-
-
-@dataclass
-class ControlLeg:
-    """One grouped or seed execution of one control-plane cell leg.
-
-    ``fib_digest`` hashes a canonical dump of every FIB after
-    convergence + installation — digest equality is the byte-identical
-    equivalence bit between the grouped/incremental install path and
-    the per-prefix seed path.
-    """
-
-    convergence_events: int
-    wall_install_seconds: float
-    install_fib_lookups: int
-    fib_digest: str
-
-
-def _fib_digest(network: Network) -> str:
-    """SHA-256 over the canonical JSON of every node's FIB snapshot."""
-    dump = {}
-    for node_id in sorted(network.nodes):
-        fib = getattr(network.node(node_id), "fib4", None)
-        if fib is not None:
-            dump[node_id] = fib.snapshot()
-    text = json.dumps(dump, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def run_control_leg(n_routers: int, seed: int, grouped: bool) -> ControlLeg:
-    """Build + converge one control-plane leg of one sweep cell.
-
-    The leg measures installation, not forwarding: scheduler events
-    drained to convergence, wall seconds spent inside
-    ``BgpProtocol.install_routes``, and the FIB lookups its hot-potato
-    scans performed (the timing-free signal the grouped path must
-    shrink).  Wall fields are machine-dependent — plot, never gate.
-    """
-    with grouped_install(grouped):
-        generated = generate_scale_internet(
-            spec_for_router_budget(n_routers, seed=seed))
-        orchestrator = Orchestrator(generated.network, seed=seed)
-        orchestrator.converge()
-    bgp = orchestrator.bgp
-    return ControlLeg(
-        convergence_events=orchestrator.scheduler.events_processed,
-        wall_install_seconds=bgp.wall_install_seconds,
-        install_fib_lookups=bgp.install_fib_lookups,
-        fib_digest=_fib_digest(generated.network))
-
-
-def _control_plane_entry(n_routers: int, seed: int) -> Dict[str, object]:
-    """The ``control_plane`` block of one sweep cell: both legs plus
-    the reduction factor and the equivalence bit."""
-    grouped_leg = run_control_leg(n_routers, seed, grouped=True)
-    seed_leg = run_control_leg(n_routers, seed, grouped=False)
-    return {
-        "convergence_events": {"grouped": grouped_leg.convergence_events,
-                               "seed": seed_leg.convergence_events},
-        "wall_install_seconds": {
-            "grouped": grouped_leg.wall_install_seconds,
-            "seed": seed_leg.wall_install_seconds},
-        "install_fib_lookups": {
-            "grouped": grouped_leg.install_fib_lookups,
-            "seed": seed_leg.install_fib_lookups},
-        "lookup_reduction": (seed_leg.install_fib_lookups
-                             / max(grouped_leg.install_fib_lookups, 1)),
-        "identical_fibs": grouped_leg.fib_digest == seed_leg.fib_digest,
-    }
 
 
 def _sample_flows(hosts: Sequence[str], n_flows: int,
@@ -300,7 +215,6 @@ def _cell(n_routers: int, seed: int, n_flows: int,
         "delivery": dict(fast.delivery),
         "identical_metrics": identical,
         "measurement": _measurement_entry(fast, slow),
-        "control_plane": _control_plane_entry(n_routers, seed),
     }
 
 
@@ -341,9 +255,6 @@ def run_sweep(seed: int = DEFAULT_SEED, quick: bool = False,
             },
             "identical_metrics": all(bool(c["identical_metrics"])
                                      for c in cells),
-            "identical_fibs": all(
-                bool(c["control_plane"]["identical_fibs"])  # type: ignore[index]
-                for c in cells),
             "identical_probe_series": all(
                 bool(c["measurement"]["identical_series"])  # type: ignore[index]
                 for c in cells),

@@ -1,22 +1,22 @@
 """Unit tests for the control-plane install machinery.
 
-Covers the egress-link cache (:mod:`repro.bgp.egress`), the
-grouped-install switch, Adj-RIB-In pruning (no empty per-prefix dicts
-survive a withdrawal or session flush), dirty-prefix tracking, and
-MRAI-style update batching.  The end-to-end grouped-vs-seed
-equivalence lives in ``test_install_equivalence``.
+Covers the egress-link cache (:mod:`repro.bgp.egress`), Adj-RIB-In
+pruning (no empty per-prefix dicts survive a withdrawal or session
+flush), dirty-prefix tracking, and MRAI-style update batching against
+the per-message seed oracle (:mod:`tests.reference.seed_bgp`).  The
+end-to-end production-vs-oracle equivalence lives in
+``test_install_equivalence``.
 """
 
 import pytest
 
-from repro.bgp.egress import (EgressCache, grouped_install,
-                              grouped_install_enabled,
-                              set_grouped_install_default)
+from repro.bgp.egress import EgressCache
 from repro.bgp.routes import RouteScope
 from repro.core.orchestrator import Orchestrator
 from repro.net import Prefix, ipv4
 from repro.perf.cache import caching
-from tests.conftest import build_hub_network, build_two_domain_network
+from tests.conftest import build_chain_network, build_hub_network
+from tests.reference.seed_bgp import seed_bgp
 
 
 class TestEgressCache:
@@ -63,35 +63,6 @@ class TestEgressCache:
         bgp.resync_sessions()
         assert bgp.egress_cache.hits > hits_before
         assert bgp.egress_cache.misses == misses
-
-
-class TestGroupedInstallSwitch:
-    def test_default_is_grouped(self):
-        assert grouped_install_enabled() is True
-
-    def test_context_manager_scopes_and_restores(self):
-        with grouped_install(False):
-            assert grouped_install_enabled() is False
-            with grouped_install(True):
-                assert grouped_install_enabled() is True
-            assert grouped_install_enabled() is False
-        assert grouped_install_enabled() is True
-
-    def test_set_default_returns_previous(self):
-        assert set_grouped_install_default(False) is True
-        try:
-            assert grouped_install_enabled() is False
-        finally:
-            assert set_grouped_install_default(True) is False
-
-    def test_protocol_consults_switch_at_construction(self):
-        with grouped_install(False):
-            orch = Orchestrator(build_two_domain_network())
-        assert orch.bgp.grouped_install is False
-        assert orch.bgp.batch_updates is False
-        # Constructed outside the block: back to the optimized path.
-        fresh = Orchestrator(build_two_domain_network())
-        assert fresh.bgp.grouped_install is True
 
 
 def assert_no_empty_ribs(bgp):
@@ -158,7 +129,6 @@ class TestDirtyTracking:
 class TestMraiBatching:
     def test_same_tick_updates_coalesce_into_one_batch(self, converged_chain):
         bgp = converged_chain.bgp
-        assert bgp.batch_updates is True
         p1 = Prefix.host(ipv4("240.0.0.1"))
         p2 = Prefix.host(ipv4("240.0.0.2"))
         bgp.originate(4, p1, scope=RouteScope.ANYCAST_GLOBAL)
@@ -173,14 +143,24 @@ class TestMraiBatching:
             assert bgp.speaker(asn).best_route(p1) is not None
             assert bgp.speaker(asn).best_route(p2) is not None
 
-    def test_batching_reduces_convergence_events(self):
-        def run(grouped):
-            with grouped_install(grouped):
-                orch = Orchestrator(build_hub_network())
-                orch.converge()
-            return orch
+    def test_later_tick_updates_get_their_own_batch(self, converged_chain):
+        bgp = converged_chain.bgp
+        scheduler = converged_chain.scheduler
+        p1 = Prefix.host(ipv4("240.0.0.1"))
+        p2 = Prefix.host(ipv4("240.0.0.2"))
+        bgp.originate(4, p1, scope=RouteScope.ANYCAST_GLOBAL)
+        scheduler.run_until(scheduler.now + 0.5)
+        bgp.originate(4, p2, scope=RouteScope.ANYCAST_GLOBAL)
+        # Joining the pending batch would deliver p2 after 0.5, not 1.0.
+        assert sorted([u.prefix for u in batch]
+                      for batch in bgp._pending_batches.values()) == [[p1], [p2]]
 
-        grouped, seed = run(True), run(False)
+    def test_batching_reduces_convergence_events(self):
+        grouped = Orchestrator(build_hub_network())
+        grouped.converge()
+        with seed_bgp():
+            seed = Orchestrator(build_hub_network())
+            seed.converge()
         assert (grouped.scheduler.events_processed
                 < seed.scheduler.events_processed)
         # Same traffic over the sessions, just fewer delivery events.
@@ -202,8 +182,15 @@ class TestMraiBatching:
         assert bgp.speaker(1).best_route(pfx) is not None
 
     def test_seed_mode_never_batches(self):
-        with grouped_install(False):
-            orch = Orchestrator(build_two_domain_network())
-            orch.converge()
-        assert orch.bgp._pending_batches == {}
-        assert orch.bgp.batch_updates is False
+        # Two same-tick updates on one session: one batch event in
+        # production (above), two separate events on the oracle.
+        with seed_bgp():
+            orch = Orchestrator(build_chain_network())
+        orch.converge()
+        bgp = orch.bgp
+        queued = len(orch.scheduler)
+        for host in ("240.0.0.1", "240.0.0.2"):
+            bgp.originate(4, Prefix.host(ipv4(host)),
+                          scope=RouteScope.ANYCAST_GLOBAL)
+        assert bgp._pending_batches == {}
+        assert len(orch.scheduler) == queued + 2

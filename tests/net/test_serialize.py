@@ -93,3 +93,14 @@ class TestFiles:
     def test_unknown_format_rejected(self):
         with pytest.raises(TopologyError):
             network_from_dict({"format": 99})
+
+    @pytest.mark.parametrize("field", ["cost", "delay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0],
+                             ids=["nan", "inf", "negative"])
+    def test_bad_link_values_rejected(self, field, value):
+        # json.loads accepts the NaN and Infinity tokens; the loader
+        # must still refuse the link they describe.
+        data = network_to_dict(build_hub_network())
+        data["links"][0][field] = value
+        with pytest.raises(TopologyError, match=f"link {field}"):
+            network_from_dict(json.loads(json.dumps(data)))

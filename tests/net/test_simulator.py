@@ -36,6 +36,26 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sched.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"),
+                                       float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_delay_rejected(self, delay):
+        # A NaN key compares false against everything and would
+        # silently misorder the heap; infinity would never fire.
+        sched = EventScheduler()
+        order = []
+        for d in (3.0, 2.0, 1.0):
+            sched.schedule(d, lambda d=d: order.append(d))
+        with pytest.raises(SimulationError):
+            sched.schedule(delay, lambda: order.append(delay))
+        with pytest.raises(SimulationError):
+            sched.schedule_message(delay, lambda: order.append(delay))
+        with pytest.raises(SimulationError):
+            sched.schedule_at(delay, lambda: order.append(delay))
+        assert len(sched) == 3
+        sched.run_until_idle()
+        assert order == [1.0, 2.0, 3.0]
+
     def test_schedule_at_absolute_time(self):
         sched = EventScheduler()
         sched.schedule(2.0, lambda: None)

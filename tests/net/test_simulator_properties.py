@@ -3,7 +3,8 @@
 These pin the invariants every protocol in the repo silently relies on:
 
 * events fire in (time, insertion-seq) order no matter how schedule and
-  cancel calls interleave;
+  cancel calls interleave, including events scheduled from inside
+  callbacks;
 * ``run_until(t)`` never executes an event stamped after *t*;
 * cancellation is idempotent and the live-event counter (``len``)
   agrees with an independently maintained model at every step.
@@ -11,6 +12,8 @@ These pin the invariants every protocol in the repo silently relies on:
 The suite runs under the fixed ``ci`` hypothesis profile (see
 ``tests/conftest.py``) so CI failures are reproducible.
 """
+
+import heapq
 
 import pytest
 
@@ -25,6 +28,17 @@ from repro.net.simulator import EventScheduler  # noqa: E402
 _ops = st.lists(
     st.one_of(
         st.floats(min_value=0.0, max_value=100.0,
+                  allow_nan=False, allow_infinity=False),
+        st.integers(min_value=0, max_value=200),
+    ),
+    max_size=60,
+)
+
+# The same op shape on a coarse grid of delays, forcing same-timestamp ties.
+_tie_ops = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=40).map(lambda n: n * 0.5),
+        st.floats(min_value=0.0, max_value=20.0,
                   allow_nan=False, allow_infinity=False),
         st.integers(min_value=0, max_value=200),
     ),
@@ -78,6 +92,66 @@ class TestFiringOrder:
             if handles[i].time == handles[j].time:
                 assert i < j
 
+    @given(delays=st.lists(st.integers(min_value=0, max_value=6),
+                           min_size=1, max_size=40))
+    def test_same_timestamp_ties_break_by_insertion_seq(self, delays):
+        # Integer delays guarantee heavy timestamp collisions.
+        sched = EventScheduler()
+        fired = []
+        for idx, delay in enumerate(delays):
+            sched.schedule(float(delay), lambda i=idx: fired.append(i))
+        sched.run_until_idle()
+        assert fired == sorted(range(len(delays)),
+                               key=lambda i: (delays[i], i))
+
+    @given(ops=_tie_ops)
+    def test_nested_scheduling_follows_time_seq_model(self, ops):
+        """Events scheduled from inside callbacks take the next insertion
+        sequence at their scheduling instant and then fire in
+        ``(time, seq)`` order with everything already queued."""
+        sched = EventScheduler()
+        fired = []
+
+        def make(idx, delay):
+            def callback():
+                fired.append(idx)
+                if delay > 0.25:
+                    sched.schedule(delay / 2.0,
+                                   lambda: fired.append(-idx - 1))
+            return callback
+
+        handles = []
+        cancelled = set()
+        for op in ops:
+            if isinstance(op, float):
+                idx = len(handles)
+                handles.append(sched.schedule(op, make(idx, op)))
+            elif handles:
+                victim = op % len(handles)
+                handles[victim].cancel()
+                cancelled.add(victim)
+        sched.run_until_idle()
+
+        # The model: a (time, seq) heap where seq counts every schedule
+        # call, cancelled or not, exactly as the scheduler's does.
+        # Top-level events are scheduled first, so their seq is their index.
+        delays = [op for op in ops if isinstance(op, float)]
+        model = [(delay, idx, idx) for idx, delay in enumerate(delays)
+                 if idx not in cancelled]
+        heapq.heapify(model)
+        next_seq = len(delays)
+        expected = []
+        now = 0.0
+        while model:
+            now, _, idx = heapq.heappop(model)
+            expected.append(idx)
+            if idx >= 0 and delays[idx] > 0.25:
+                heapq.heappush(model, (now + delays[idx] / 2.0, next_seq,
+                                       -idx - 1))
+                next_seq += 1
+        assert fired == expected
+        assert sched.now == now
+
 
 class TestRunUntilBound:
     @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0,
@@ -93,8 +167,8 @@ class TestRunUntilBound:
         sched.run_until(horizon)
         assert all(t <= horizon for t in fired_times)
         assert sched.now == max([horizon] + fired_times)
-        # Exactly the events at or before the horizon fired.
-        assert sorted(fired_times) == sorted(d for d in delays if d <= horizon)
+        # Exactly the events at or before the horizon fired, in time order.
+        assert fired_times == sorted(d for d in delays if d <= horizon)
 
 
 class TestCancellationAndLiveCount:
@@ -133,111 +207,3 @@ class TestCancellationAndLiveCount:
         count = len(fired)
         sched.run_until_idle()
         assert len(fired) == count  # nothing re-fires
-
-
-# Interleavings for the two-implementation equivalence suite: schedule
-# with a delay drawn from a coarse grid (forcing same-timestamp ties and
-# bucket-boundary collisions), or cancel an issued handle by index.
-_tie_ops = st.lists(
-    st.one_of(
-        st.integers(min_value=0, max_value=40).map(lambda n: n * 0.5),
-        st.floats(min_value=0.0, max_value=20.0,
-                  allow_nan=False, allow_infinity=False),
-        st.integers(min_value=0, max_value=200),
-    ),
-    max_size=60,
-)
-
-
-def _drive(queue_kind, ops, horizon=None):
-    """Run one op sequence on one queue implementation.
-
-    Returns the fired event indices in order plus the final clock, so
-    two implementations can be compared wholesale.
-    """
-    sched = EventScheduler(queue=queue_kind)
-    fired = []
-    handles = []
-    for op in ops:
-        if isinstance(op, float):
-            idx = len(handles)
-            handles.append(sched.schedule(op, lambda i=idx: fired.append(i)))
-        elif handles:
-            handles[op % len(handles)].cancel()
-    if horizon is None:
-        sched.run_until_idle()
-    else:
-        sched.run_until(horizon)
-    return fired, sched.now, len(sched)
-
-
-class TestCalendarHeapEquivalence:
-    """The calendar queue must be order-equivalent to the seed heap."""
-
-    @given(ops=_tie_ops)
-    def test_identical_fired_sequence(self, ops):
-        heap_run = _drive("heap", ops)
-        calendar_run = _drive("calendar", ops)
-        assert calendar_run == heap_run
-
-    @given(ops=_tie_ops,
-           horizon=st.floats(min_value=0.0, max_value=20.0,
-                             allow_nan=False, allow_infinity=False))
-    def test_identical_under_run_until(self, ops, horizon):
-        assert _drive("calendar", ops, horizon) == _drive("heap", ops, horizon)
-
-    @given(ops=_tie_ops,
-           width=st.sampled_from([0.1, 0.5, 1.0, 3.0, 100.0]))
-    def test_bucket_width_never_changes_order(self, ops, width):
-        sched = EventScheduler(queue="calendar", bucket_width=width)
-        fired = []
-        handles = []
-        for op in ops:
-            if isinstance(op, float):
-                idx = len(handles)
-                handles.append(
-                    sched.schedule(op, lambda i=idx: fired.append(i)))
-            elif handles:
-                handles[op % len(handles)].cancel()
-        sched.run_until_idle()
-        assert (fired, sched.now) == _drive("heap", ops)[:2]
-
-    @given(delays=st.lists(st.integers(min_value=0, max_value=6),
-                           min_size=1, max_size=40))
-    def test_same_timestamp_ties_break_by_insertion_seq(self, delays):
-        # Integer delays guarantee heavy timestamp collisions; both
-        # implementations must break ties by insertion sequence.
-        float_delays = [float(d) for d in delays]
-        heap_fired, _, _ = _drive("heap", float_delays)
-        calendar_fired, _, _ = _drive("calendar", float_delays)
-        expected = sorted(range(len(delays)), key=lambda i: (delays[i], i))
-        assert heap_fired == expected
-        assert calendar_fired == expected
-
-    @given(ops=_tie_ops)
-    def test_nested_scheduling_stays_equivalent(self, ops):
-        # Events scheduled from inside callbacks land in the current
-        # bucket or later ones; the implementations must still agree.
-        def run(queue_kind):
-            sched = EventScheduler(queue=queue_kind)
-            fired = []
-
-            def make(idx, delay):
-                def callback():
-                    fired.append(idx)
-                    if delay > 0.25:
-                        sched.schedule(delay / 2.0,
-                                       lambda: fired.append(-idx - 1))
-                return callback
-
-            handles = []
-            for op in ops:
-                if isinstance(op, float):
-                    idx = len(handles)
-                    handles.append(sched.schedule(op, make(idx, op)))
-                elif handles:
-                    handles[op % len(handles)].cancel()
-            sched.run_until_idle()
-            return fired, sched.now
-
-        assert run("calendar") == run("heap")

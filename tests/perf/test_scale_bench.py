@@ -7,11 +7,13 @@ valid ``repro.bench/v2`` ``scale_sweep``.
 """
 
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.perf.bench import BENCH_SCHEMA, validate_bench_dict
-from repro.perf.scale_bench import run_cell_leg, run_control_leg, run_sweep
+from repro.perf.scale_bench import run_cell_leg, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -59,50 +61,17 @@ def test_cell_leg_is_deterministic_across_fastpath_setting():
     assert slow.fastpath_stats["misses"] == 0
 
 
-def test_control_plane_leg_proves_install_equivalence(sweep_doc):
-    control = sweep_doc["cells"][0]["control_plane"]
-    assert control["identical_fibs"] is True
-    assert sweep_doc["totals"]["identical_fibs"] is True
-    lookups = control["install_fib_lookups"]
-    # Grouping must shave install-path FIB lookups, never add them.
-    assert 0 < lookups["grouped"] < lookups["seed"]
-    assert control["lookup_reduction"] == pytest.approx(
-        lookups["seed"] / lookups["grouped"])
-    events = control["convergence_events"]
-    assert 0 < events["grouped"] <= events["seed"]
-
-
-def test_control_leg_digest_matches_across_modes():
-    grouped = run_control_leg(300, seed=9, grouped=True)
-    seed = run_control_leg(300, seed=9, grouped=False)
-    assert grouped.fib_digest == seed.fib_digest
-    assert 0 < grouped.install_fib_lookups < seed.install_fib_lookups
-
-
-def test_validator_rejects_malformed_control_plane(sweep_doc):
-    bad_bit = copy.deepcopy(sweep_doc)
-    bad_bit["cells"][0]["control_plane"]["identical_fibs"] = "yes"
-    assert any("identical_fibs" in e for e in validate_bench_dict(bad_bit))
-
-    bad_lookups = copy.deepcopy(sweep_doc)
-    bad_lookups["cells"][0]["control_plane"]["install_fib_lookups"] = {
-        "grouped": "lots", "seed": 10}
-    assert any("install_fib_lookups" in e
-               for e in validate_bench_dict(bad_lookups))
-
-    bad_reduction = copy.deepcopy(sweep_doc)
-    bad_reduction["cells"][0]["control_plane"]["lookup_reduction"] = -2.0
-    assert any("lookup_reduction" in e
-               for e in validate_bench_dict(bad_reduction))
-
-
-def test_pre_control_plane_artifacts_stay_valid(sweep_doc):
-    # The control_plane block is a PR-9 addition; sweeps emitted before
-    # it (the committed BENCH_SCALE_PR6.json) must still validate.
-    legacy = copy.deepcopy(sweep_doc)
-    del legacy["cells"][0]["control_plane"]
-    del legacy["totals"]["identical_fibs"]
-    assert validate_bench_dict(legacy) == []
+def test_committed_bench_artifacts_stay_valid():
+    # Every BENCH_*.json at the repo root, matrix and sweep alike, must
+    # still validate.  Older sweeps lack fields added later, and
+    # BENCH_PR9.json keeps the control_plane block of the retired
+    # grouped-vs-seed leg, which the validator ignores.
+    root = Path(__file__).resolve().parents[2]
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths
+    errors = {path.name: validate_bench_dict(json.loads(path.read_text()))
+              for path in paths}
+    assert errors == {path.name: [] for path in paths}
 
 
 def test_validator_rejects_malformed_sweeps(sweep_doc):
