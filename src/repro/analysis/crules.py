@@ -5,7 +5,7 @@ keyed on ``Network._topology_version``: any mutation of topology state
 (link tables, node liveness, FIB contents, vN-Bone overlay structure)
 that does not sit on a call path through a version bump or a fast-path
 invalidation leaves a stale cache serving wrong answers — the class of
-bug that today only the cached==uncached equivalence matrix would
+bug that otherwise only the cached == uncached oracle tests would
 catch, at CI-smoke time.
 
 * **C1** — a statement mutating link/liveness topology state (``.links``

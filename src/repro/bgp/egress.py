@@ -3,11 +3,10 @@
 Installing converged BGP state asks, for every (domain, next-hop AS)
 pair, which live inter-domain links leave the domain towards that
 neighbor — the answer drives both hot-potato egress selection and
-session liveness checks.  The seed implementation recomputed the scan
-(`sorted borders × inter-domain neighbors`) once per Loc-RIB prefix;
-at internet scale a transit AS carries one route per remote AS over a
-handful of sessions, so the same scan repeated thousands of times per
-install pass.
+session liveness checks.  The scan (`sorted borders × inter-domain
+neighbors`) depends only on the pair, yet at internet scale a transit
+AS carries one route per remote AS over a handful of sessions, so an
+unmemoized install pass would repeat it thousands of times.
 
 :class:`EgressCache` memoizes the scan per ``(asn, next_hop_asn)``
 key, invalidated — exactly like :class:`repro.perf.cache.PathCache` —
@@ -28,11 +27,10 @@ live, so tests need no observability handle.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.net.link import LinkScope
 from repro.obs import get_obs
-from repro.perf.cache import caching_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -50,14 +48,12 @@ class EgressCache:
     do).  ``hits``/``misses``/``invalidations`` are plain integers so
     they are observable without an active
     :class:`~repro.obs.Observability`; the equivalent
-    ``perf.bgp.egress_cache.*`` counters feed the bench harness.
+    ``perf.bgp.egress_cache.*`` counters land in the metrics summary.
     """
 
-    def __init__(self, network: "Network",
-                 enabled: Optional[bool] = None) -> None:
+    def __init__(self, network: "Network") -> None:
         self.network = network
         self.obs = get_obs()
-        self.enabled = caching_enabled() if enabled is None else enabled
         self._version = network.topology_version
         self._links: Dict[EgressKey, EgressLinks] = {}
         self.hits = 0
@@ -82,26 +78,24 @@ class EgressCache:
     # -- queries ----------------------------------------------------------
     def links(self, asn: int, next_hop_asn: int) -> EgressLinks:
         """(local border, remote border) pairs over live links from
-        *asn* to *next_hop_asn* — bit-identical to the uncached scan."""
+        *asn* to *next_hop_asn* — bit-identical to a fresh scan."""
         self._check_version()
         key = (asn, next_hop_asn)
-        if self.enabled:
-            cached = self._links.get(key)
-            if cached is not None:
-                self.hits += 1
-                if self.obs.enabled:
-                    self.obs.counter("perf.bgp.egress_cache.hits").inc()
-                return cached
+        cached = self._links.get(key)
+        if cached is not None:
+            self.hits += 1
+            if self.obs.enabled:
+                self.obs.counter("perf.bgp.egress_cache.hits").inc()
+            return cached
         self.misses += 1
         if self.obs.enabled:
             self.obs.counter("perf.bgp.egress_cache.misses").inc()
         pairs = self._compute(asn, next_hop_asn)
-        if self.enabled:
-            self._links[key] = pairs
+        self._links[key] = pairs
         return pairs
 
     def _compute(self, asn: int, next_hop_asn: int) -> EgressLinks:
-        """The raw scan the seed's ``_egress_links`` performed."""
+        """The raw egress-link scan behind :meth:`links`."""
         pairs: EgressLinks = []
         domain = self.network.domains[asn]
         for border_id in sorted(domain.border_routers):

@@ -64,10 +64,26 @@ def network_to_dict(network: Network) -> Dict:
 
 
 def network_from_dict(data: Dict) -> Network:
-    """Rebuild a :class:`Network` from :func:`network_to_dict` output."""
+    """Rebuild a :class:`Network` from :func:`network_to_dict` output.
+
+    Raises :class:`TopologyError` for any malformed document: a
+    non-object, a missing or mistyped field, or values the topology
+    rejects.
+    """
+    if not isinstance(data, dict):
+        raise TopologyError(
+            f"topology document must be an object, got {type(data).__name__}")
     if data.get("format") != FORMAT_VERSION:
         raise TopologyError(
             f"unsupported topology format {data.get('format')!r}")
+    try:
+        return _build_network(data)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise TopologyError(f"malformed topology document: "
+                            f"{type(exc).__name__}: {exc}") from exc
+
+
+def _build_network(data: Dict) -> Network:
     network = Network()
     for record in data["domains"]:
         network.add_domain(Domain(asn=record["asn"], name=record["name"],
@@ -103,5 +119,14 @@ def save_network(network: Network, path: Union[str, Path]) -> None:
 
 
 def load_network(path: Union[str, Path]) -> Network:
-    """Load a network previously written by :func:`save_network`."""
-    return network_from_dict(json.loads(Path(path).read_text()))
+    """Load a network previously written by :func:`save_network`.
+
+    An unreadable file or invalid JSON raises :class:`TopologyError`,
+    like a malformed document (:func:`network_from_dict`).
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise TopologyError(f"cannot load topology {str(path)!r}: "
+                            f"{exc}") from exc
+    return network_from_dict(data)

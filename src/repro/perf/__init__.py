@@ -1,19 +1,17 @@
-"""repro.perf: topology-versioned path caching + the bench harness.
-
-Two halves:
+"""repro.perf: topology-versioned path caching + the bench artifacts.
 
 * :mod:`repro.perf.cache` — the :class:`PathCache` memoizing the
-  network's ground-truth Dijkstra trees per ``topology_version``, and
-  the process-wide :func:`caching` default the per-layer SPF caches
-  (link-state IGP, vN-Bone routing, vN-Bone topology) consult at
-  construction time.
-* :mod:`repro.perf.bench` — the reproducible perf-trajectory harness
-  behind ``python -m repro bench`` (schema ``repro.bench/v1``).  It is
-  *not* imported here: bench pulls in the whole experiment stack, and
-  this package must stay importable from :mod:`repro.net.network`.
+  network's ground-truth Dijkstra trees per ``topology_version``.  The
+  per-layer SPF caches (link-state IGP, vN-Bone routing, vN-Bone
+  topology) and the BGP egress cache follow the same invalidation
+  rule; every cache is always on.
+* :mod:`repro.perf.bench` — the ``repro.bench`` artifact schema
+  (validation and writing), and :mod:`repro.perf.scale_bench` — the
+  topology-size sweep behind ``python -m repro bench``.  Neither is
+  imported here: the sweep pulls in the whole simulator, and this
+  package must stay importable from :mod:`repro.net.network`.
 """
 
-from repro.perf.cache import (PathCache, caching, caching_enabled,
-                              set_caching_default)
+from repro.perf.cache import PathCache
 
-__all__ = ["PathCache", "caching", "caching_enabled", "set_caching_default"]
+__all__ = ["PathCache"]

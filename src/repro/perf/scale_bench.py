@@ -1,4 +1,4 @@
-"""The topology-size sweep (``python -m repro bench --scale-sweep``).
+"""The topology-size sweep (``python -m repro bench``).
 
 Measures the flow-level forwarding fast path on the internet-scale
 topology tier (:mod:`repro.topogen.scale`): for each router budget on

@@ -372,7 +372,7 @@ def _install_static_fringe_routes(result: GeneratedScaleInternet) -> None:
 def spec_for_router_budget(n_routers: int, seed: int = 0) -> ScaleSpec:
     """A :class:`ScaleSpec` sized to roughly *n_routers* total routers.
 
-    Used by the ``--scale-sweep`` bench: ~12% of the router budget goes
+    Used by the ``repro bench`` size sweep: ~12% of the router budget goes
     to the BGP-speaking transit core, the rest to default-routed stubs.
     """
     if n_routers < 50:

@@ -16,7 +16,7 @@ from repro.analyze import (CATCHMENT_SCHEMA, build_catchment,
 from repro.experiments import run
 from repro.net.fastpath import flow_fastpath
 from repro.obs import Observability, Tracer
-from repro.perf import caching
+from tests.reference.uncached import uncached
 
 
 def sample(t, vantage="v0", target="svc", replica="a", rtt=4.0,
@@ -161,9 +161,8 @@ class TestSeededMeasurementPlane:
                 == json.dumps(slow, sort_keys=True))
 
     def test_byte_identical_across_caching_modes(self):
-        with caching(True):
-            cached = run("rtt_catchment", seed=19).data["catchment"]
-        with caching(False):
-            uncached = run("rtt_catchment", seed=19).data["catchment"]
+        cached = run("rtt_catchment", seed=19).data["catchment"]
+        with uncached():
+            oracle = run("rtt_catchment", seed=19).data["catchment"]
         assert (json.dumps(cached, sort_keys=True)
-                == json.dumps(uncached, sort_keys=True))
+                == json.dumps(oracle, sort_keys=True))

@@ -14,7 +14,6 @@ from repro.bgp.egress import EgressCache
 from repro.bgp.routes import RouteScope
 from repro.core.orchestrator import Orchestrator
 from repro.net import Prefix, ipv4
-from repro.perf.cache import caching
 from tests.conftest import build_chain_network, build_hub_network
 from tests.reference.seed_bgp import seed_bgp
 
@@ -22,7 +21,7 @@ from tests.reference.seed_bgp import seed_bgp
 class TestEgressCache:
     def test_second_scan_is_a_hit(self, converged_two_domain):
         net = converged_two_domain.network
-        cache = EgressCache(net, enabled=True)
+        cache = EgressCache(net)
         first = cache.links(1, 2)
         assert first == [("r1b", "r2b")]
         assert cache.links(1, 2) == first
@@ -30,12 +29,12 @@ class TestEgressCache:
                                  "invalidations": 0, "entries": 1}
 
     def test_no_session_means_no_links(self, converged_two_domain):
-        cache = EgressCache(converged_two_domain.network, enabled=True)
+        cache = EgressCache(converged_two_domain.network)
         assert cache.links(1, 99) == []
 
     def test_version_bump_invalidates(self, converged_two_domain):
         net = converged_two_domain.network
-        cache = EgressCache(net, enabled=True)
+        cache = EgressCache(net)
         assert cache.links(1, 2) == [("r1b", "r2b")]
         net.link_between("r1b", "r2b").fail()
         # The dead link must disappear from the recomputed answer.
@@ -44,14 +43,6 @@ class TestEgressCache:
         net.link_between("r1b", "r2b").restore()
         assert cache.links(1, 2) == [("r1b", "r2b")]
         assert cache.invalidations == 2
-
-    def test_disabled_cache_always_rescans(self, converged_two_domain):
-        net = converged_two_domain.network
-        with caching(False):
-            cache = EgressCache(net)  # inherits the caching() switch
-        assert cache.enabled is False
-        assert cache.links(1, 2) == cache.links(1, 2) == [("r1b", "r2b")]
-        assert cache.hits == 0 and cache.misses == 2 and len(cache) == 0
 
     def test_protocol_egress_goes_through_the_cache(self, converged_hub):
         bgp = converged_hub.bgp

@@ -7,9 +7,10 @@ must be indistinguishable from the per-prefix seed path it replaced,
 kept as the oracle :class:`tests.reference.seed_bgp.SeedBgpProtocol`:
 identical FIB snapshots, identical experiment metrics, and identical
 ``repro.report/v1`` critical paths — across the workload matrix, fault
-plans with session flaps, a 600-router scale internet, and both
-caching modes.  Mirrors ``tests/perf/test_determinism`` (cached ==
-uncached) and ``tests/perf/test_fastpath`` (fast path on == off).
+plans with session flaps, a 600-router scale internet, and both with
+and without the uncached oracle (:mod:`tests.reference.uncached`).
+Mirrors ``tests/perf/test_determinism`` (production == uncached) and
+``tests/perf/test_fastpath`` (fast path on == off).
 """
 
 import hashlib
@@ -24,17 +25,17 @@ from repro.core.orchestrator import Orchestrator
 from repro.faults import FaultInjector, FaultPlan
 from repro.net import Prefix, ipv4
 from repro.obs import Observability, Tracer, observing
-from repro.perf.bench import WORKLOADS, run_leg, workload_fault_epoch
-from repro.perf.cache import caching
 from repro.topogen.scale import generate_scale_internet, spec_for_router_budget
 from tests.conftest import (build_chain_network, build_hub_network,
                             build_two_domain_network)
+from tests.perf.workloads import (WORKLOAD_IDS, WORKLOADS, run_leg,
+                                  workload_fault_epoch)
 from tests.reference.seed_bgp import SeedBgpProtocol, seed_bgp
+from tests.reference.uncached import uncached
 
 BUILDERS = [build_two_domain_network, build_chain_network,
             build_hub_network]
 BUILDER_IDS = ["two_domain", "chain", "hub"]
-WORKLOAD_IDS = [name for name, _ in WORKLOADS]
 CACHE_IDS = ["cached", "uncached"]
 
 
@@ -59,8 +60,13 @@ def on_oracle(oracle):
     return seed_bgp() if oracle else nullcontext()
 
 
+def on_cache(cached):
+    """Run inside this block to bypass every cache (or not)."""
+    return nullcontext() if cached else uncached()
+
+
 def converged(build, oracle, cached=True):
-    with on_oracle(oracle), caching(cached):
+    with on_oracle(oracle), on_cache(cached):
         orch = Orchestrator(build())
         orch.converge()
     return orch
@@ -158,9 +164,9 @@ def _scrub_event_counts(payload):
 class TestWorkloadMatrix:
     @pytest.mark.parametrize("name,workload", WORKLOADS, ids=WORKLOAD_IDS)
     def test_leg_metrics_identical_grouped_vs_seed(self, name, workload):
-        on = run_leg(workload, seed=11, quick=True, cached=True)
+        on = run_leg(workload, seed=11, quick=True)
         with seed_bgp():
-            off = run_leg(workload, seed=11, quick=True, cached=True)
+            off = run_leg(workload, seed=11, quick=True)
         on_payload, on_events = _scrub_event_counts(on.payload)
         off_payload, off_events = _scrub_event_counts(off.payload)
         assert on_payload == off_payload
@@ -180,7 +186,7 @@ class TestFaultReconvergence:
                 .link_up("r1b", "r2b", at=50.0))
 
         def run(oracle):
-            with on_oracle(oracle), caching(cached):
+            with on_oracle(oracle), on_cache(cached):
                 orch = Orchestrator(build_two_domain_network())
                 orch.converge()
                 FaultInjector(orch, plan).play()
@@ -291,7 +297,7 @@ class TestIncrementalReinstall:
 
 def _traced_fault_report(oracle):
     obs = Observability(tracer=Tracer(context={"seed": 7}))
-    with on_oracle(oracle), caching(True), observing(obs):
+    with on_oracle(oracle), observing(obs):
         workload_fault_epoch(7, True)
     obs.close()
     return build_report(obs.tracer.events())

@@ -23,6 +23,16 @@ class TestTopology:
         out = capsys.readouterr().out
         assert "domains: 21" in out
 
+    def test_malformed_load_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": 1}')
+        with pytest.raises(SystemExit) as exc:
+            main(["reachability", "--load", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "reachability: malformed topology document" in err
+        assert "Traceback" not in err
+
 
 class TestTrace:
     def test_trace_delivers(self, capsys):
@@ -77,3 +87,27 @@ class TestAdoption:
         out = capsys.readouterr().out
         assert "UA share" in out
         assert out.strip().count("\n") >= 2
+
+
+class TestBench:
+    def test_runs_the_scale_sweep(self, tmp_path, monkeypatch, capsys):
+        from repro.perf import scale_bench
+        from repro.perf.bench import validate_bench_dict
+
+        sweep = scale_bench.run_sweep
+        monkeypatch.setattr(
+            scale_bench, "run_sweep",
+            lambda seed, quick: sweep(seed=seed, quick=quick, sizes=(300,)))
+        path = tmp_path / "bench.json"
+        assert main(["bench", "--quick", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert validate_bench_dict(doc) == []
+        assert doc["mode"] == "scale_sweep" and doc["quick"] is True
+        assert [cell["routers_requested"] for cell in doc["cells"]] == [300]
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_scale_sweep_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--scale-sweep"])
+        assert exc.value.code == 2
+        assert "--scale-sweep" in capsys.readouterr().err

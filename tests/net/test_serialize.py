@@ -17,6 +17,21 @@ def roundtrip(network: Network) -> Network:
     return network_from_dict(network_to_dict(network))
 
 
+#: Edits that turn a valid topology document into a malformed one.
+MALFORMED = {
+    "json-list": lambda data: [data],
+    "no-domains": lambda data: {key: value for key, value in data.items()
+                                if key != "domains"},
+    "router-without-asn": lambda data: {**data, "routers": [
+        {key: value for key, value in router.items() if key != "asn"}
+        for router in data["routers"]]},
+    "relationships-not-object": lambda data: {**data, "domains": [
+        {**domain, "relationships": 5} for domain in data["domains"]]},
+    "string-cost": lambda data: {**data, "links": [
+        {**link, "cost": "1"} for link in data["links"]]},
+}
+
+
 class TestRoundTrip:
     def test_stats_preserved(self):
         original = build_hub_network()
@@ -104,3 +119,16 @@ class TestFiles:
         data["links"][0][field] = value
         with pytest.raises(TopologyError, match=f"link {field}"):
             network_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_documents_rejected(self, edit, tmp_path):
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(edit(network_to_dict(build_hub_network()))))
+        with pytest.raises(TopologyError, match="topology"):
+            load_network(path)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "topology.json"
+        path.write_text('{"format": 1, "domains": [')
+        with pytest.raises(TopologyError, match="cannot load topology"):
+            load_network(path)

@@ -1,16 +1,18 @@
 """PathCache behaviour: hits, misses, invalidation, and equivalence.
 
 The cache must be invisible except for speed: every answer it gives has
-to be bit-identical to the raw early-exit Dijkstra, and every topology
+to be bit-identical to the raw early-exit Dijkstra kept in
+:mod:`tests.reference.uncached`, and every topology
 mutation — link flips (the fault injector calls ``link.fail()``
 directly), node crashes, host moves — must invalidate it.
 """
 
 import pytest
 
-from repro.perf import PathCache, caching
+from repro.perf import PathCache
 
 from tests.conftest import build_two_domain_network
+from tests.reference.uncached import compute_shortest_path
 
 
 def all_node_ids(net):
@@ -25,9 +27,9 @@ def test_cached_paths_match_raw_dijkstra():
             if src == dst:
                 continue
             assert net.shortest_path(src, dst) == \
-                net._compute_shortest_path(src, dst)
+                compute_shortest_path(net, src, dst)
             assert net.shortest_path(src, dst, intra_domain_only=True) == \
-                net._compute_shortest_path(src, dst, intra_domain_only=True)
+                compute_shortest_path(net, src, dst, intra_domain_only=True)
 
 
 def test_hit_miss_accounting():
@@ -87,18 +89,9 @@ def test_domain_filtered_tree_stays_inside_domain():
     assert {"r1a", "r1b", "h1"} <= set(tree)
 
 
-def test_caching_context_disables_cache():
-    with caching(False):
-        net = build_two_domain_network()
-    assert not net.path_cache.enabled
-    assert net.shortest_path("h1", "h2") is not None
-    assert net.path_cache.stats() == {"hits": 0, "misses": 0,
-                                      "invalidations": 0, "entries": 0}
-
-
 def test_unreachable_destination_returns_none():
     net = build_two_domain_network()
-    cache = PathCache(net, enabled=True)
+    cache = PathCache(net)
     net.add_router("lonely", 1)
     assert cache.shortest_path("h1", "lonely") is None
 
@@ -110,7 +103,6 @@ def test_stale_version_detected_even_without_query_between_mutations():
     link.fail()
     link.restore()  # version moved twice; cache saw neither
     cost, path = net.shortest_path("h1", "h2")
-    assert cost == pytest.approx(
-        net._compute_shortest_path("h1", "h2")[0])
-    assert path == net._compute_shortest_path("h1", "h2")[1]
+    assert cost == pytest.approx(compute_shortest_path(net, "h1", "h2")[0])
+    assert path == compute_shortest_path(net, "h1", "h2")[1]
     assert net.path_cache.stats()["invalidations"] == 1
